@@ -18,15 +18,15 @@
 //! * `select_chain` — three-deep selection chains; the shape where the
 //!   retired depth-staged pipelined runner measurably lost to
 //!   single-threaded execution, now covered by the shard paths.
-//! * `stateful_seq` — sequence queries; the batched entry point runs the
-//!   hybrid drain (selection prefix batched, sequences strict per-event
-//!   until the adaptive gate learns otherwise), and the sharded engines
-//!   hash-partition on the sequences' AI-index key.
+//! * `stateful_seq` — sequence queries; the plan is stateful, so the
+//!   batched entry point feeds every event per-event in timestamp order
+//!   (its `push_batch` row measures the batch entry point's overhead over
+//!   `per_event`), and the sharded engines hash-partition on the
+//!   sequences' AI-index key.
 //! * `keyed_agg` — grouped aggregates over many queries; the whole plan
 //!   is one keyed component, so the sharded engines route every tuple by
-//!   group hash (the index-list shared-batch delivery path) and the
-//!   batched drain exercises per-key sub-batching inside the aggregate
-//!   m-ops.
+//!   group hash (the index-list shared-batch delivery path), and the
+//!   batched entry point, as for `stateful_seq`, runs per-event.
 //!
 //! Every workload is measured under both parallel engines: `sharded/nK`
 //! (`session().workers(n).one_shot()`, scoped threads per batch call) and
@@ -170,7 +170,7 @@ pub fn seq_engine(n_queries: usize) -> Rumor {
 
 /// `n` grouped aggregate queries over one stream (keyed stateful: the
 /// group-by attribute keys the whole component, so the sharded engines
-/// hash-route every tuple and the batched drain sub-batches per group).
+/// hash-route every tuple).
 /// Windows vary across queries so the optimizer shares window *fragments*
 /// (rule cα) rather than collapsing everything into one operator.
 pub fn agg_engine(n_queries: usize) -> Rumor {

@@ -85,74 +85,6 @@ pub trait MultiOp: Send {
         }
     }
 
-    /// Processes a strictly-timestamp-ordered run of tuples from `port`'s
-    /// input channel through *stateful* state, with a relaxed emission-order
-    /// contract that lets keyed implementations regroup the run by state
-    /// key and walk each key's sub-batch in one pass (hash once per key
-    /// instead of once per tuple — the head-indexing idea applied to the
-    /// batch dimension).
-    ///
-    /// Contract, weaker than [`MultiOp::process_batch`]:
-    ///
-    /// * the caller guarantees `inputs` is ordered by strictly increasing
-    ///   `tuple.ts` (ties must take the per-tuple path);
-    /// * every emitted tuple carries the timestamp of the input tuple that
-    ///   triggered it;
-    /// * a *stable* sort of the emissions by timestamp must reproduce the
-    ///   per-tuple loop's emission sequence exactly. Implementations may
-    ///   therefore reorder emissions across inputs of different
-    ///   timestamps (per-key grouping does), but never reorder or alter
-    ///   the emissions triggered by one input.
-    ///
-    /// The engine's strict drain re-sorts the collected emissions by
-    /// timestamp before cascading, so downstream operators and query taps
-    /// observe the per-event order. The default forwards to the per-tuple
-    /// loop, which satisfies the contract trivially.
-    fn process_batch_keyed(&mut self, port: PortId, inputs: &[ChannelTuple], out: &mut dyn Emit) {
-        for input in inputs {
-            self.process(port, input, out);
-        }
-    }
-
-    /// True when this *stateful* operator tolerates **port-grouped** strict
-    /// delivery: within one timestamp-ordered batch, the engine may feed it
-    /// all of one input port's tuples (in timestamp order) before all of
-    /// another port's, lower port numbers first, instead of interleaving
-    /// ports in global timestamp order.
-    ///
-    /// Safe exactly when (a) lower ports only *write* state (instance or
-    /// window arrivals that read nothing), and (b) higher ports guard every
-    /// match against the probing tuple's timestamp (rejecting state entries
-    /// at or after it) with eviction that is a pure GC horizon. Under those
-    /// two conditions a probe observes precisely the state the per-event
-    /// engine would have shown it, no matter how many same-batch future
-    /// arrivals were inserted early. Single-input operators qualify
-    /// trivially (their one channel is always delivered in timestamp
-    /// order). Operators that return `true` unlock the engine's
-    /// channel-grouped strict drain, which drives
-    /// [`MultiOp::process_batch_keyed`] with whole per-channel runs; the
-    /// default `false` keeps the strict per-event path.
-    fn port_batch_safe(&self) -> bool {
-        false
-    }
-
-    /// True when this operator emits **at most one channel tuple per
-    /// output channel per input tuple** — members sharing an output
-    /// channel are grouped into a single emission carrying their union
-    /// membership, never one emission each.
-    ///
-    /// This is the encoding-step guarantee of §3.1 (one payload, one
-    /// membership mask), and it is what the engine's hybrid batching gate
-    /// needs from a stateless prefix: a multi-member channel whose
-    /// producer groups emissions still carries ≤ 1 event per source event,
-    /// so strict (stateful) consumers downstream see the per-event
-    /// delivery order under the stable timestamp sort. Operators whose
-    /// members may emit *distinct payloads* onto one shared channel
-    /// (per-member projections) must keep the default `false`.
-    fn grouped_emission(&self) -> bool {
-        false
-    }
-
     /// True when the operator keeps no state across input tuples, so its
     /// outputs depend only on each single input tuple.
     ///

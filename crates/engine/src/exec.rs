@@ -9,14 +9,13 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
-use rumor_core::{ChannelTuple, Emit, MopContext, MopKind, MultiOp, PartitionKeys, PlanGraph};
+use rumor_core::{ChannelTuple, Emit, MopContext, MultiOp, PartitionKeys, PlanGraph};
 use rumor_ops::instantiate;
 use rumor_types::{
-    ChannelId, Membership, MopId, PortId, QueryId, Result, RumorError, SourceId, Timestamp, Tuple,
+    ChannelId, Membership, MopId, PortId, QueryId, Result, RumorError, SourceId, Tuple,
 };
 
-use crate::metrics::{BatchProfile, FeedMode};
-use crate::stats::{ExecStatsReport, GateStats, OpCounters, OpStats, TraceRing, TIME_SAMPLE_EVERY};
+use crate::stats::{ExecStatsReport, OpCounters, OpStats, TIME_SAMPLE_EVERY};
 
 /// Receives query results during execution.
 pub trait QuerySink {
@@ -145,12 +144,6 @@ impl QuerySink for CollectingSink {
 /// buffers stay in cache.
 const BATCH_CHUNK: usize = 1024;
 
-/// Events risked on one exploration sample of the adaptive dispatch gate
-/// (see [`ExecutablePlan::push_batch`]): big enough for a meaningful rate
-/// estimate, small enough that probing a badly losing mode stays a
-/// bounded fraction of one chunk.
-const PROBE_CAP: usize = 128;
-
 /// An emitted event waiting to be routed.
 type Pending = VecDeque<(ChannelId, ChannelTuple)>;
 
@@ -201,19 +194,6 @@ impl Emit for BufEmit<'_> {
     }
 }
 
-/// Emit adapter collecting emissions for the channel-grouped strict drain
-/// (they are timestamp-sorted before cascading).
-struct CollectEmit<'a> {
-    out: &'a mut Vec<(ChannelId, ChannelTuple)>,
-}
-
-impl Emit for CollectEmit<'_> {
-    fn emit(&mut self, channel: ChannelId, tuple: Tuple, membership: Membership) {
-        self.out
-            .push((channel, ChannelTuple::new(tuple, membership)));
-    }
-}
-
 /// Which subgraph of the plan a scoped push addresses.
 ///
 /// Partition-parallel runtimes use scoped pushes to implement
@@ -259,12 +239,6 @@ pub struct ExecutablePlan {
     /// source index → source-channel consumers outside the stateful cone —
     /// the [`ConeScope::Stateless`] root set.
     free_root: Vec<Vec<(usize, PortId)>>,
-    /// channel index → stateless consumers only (the hybrid drain routes
-    /// these at run granularity).
-    batch_consumers: Vec<Vec<(usize, PortId)>>,
-    /// channel index → stateful consumers only (the hybrid drain delivers
-    /// these per-event, in timestamp order).
-    strict_consumers: Vec<Vec<(usize, PortId)>>,
     /// channel index → [(position, queries listening on that stream)].
     query_taps: Vec<Vec<(usize, Vec<QueryId>)>>,
     /// channel index → (positions-with-queries mask, queries per position if
@@ -276,42 +250,9 @@ pub struct ExecutablePlan {
     /// Every compiled op is stateless, so [`ExecutablePlan::push_batch`]
     /// may run the channel-batched drain (see [`rumor_core::MultiOp::is_stateless`]).
     batch_safe: bool,
-    /// The plan is stateful but its stateless *prefix* may still be
-    /// run-batched (see [`ExecutablePlan::is_prefix_batch_safe`]).
-    prefix_batch_safe: bool,
     /// Double buffers of the batched drain, reused across calls.
     cur: EventBuf,
     nxt: EventBuf,
-    /// Events bound for stateful consumers, staged by the hybrid drain.
-    strict: Vec<(ChannelId, ChannelTuple)>,
-    /// Every strict consumer tolerates port-grouped delivery (see
-    /// [`rumor_core::MultiOp::port_batch_safe`]), so the hybrid drain may
-    /// run its strict phase channel-grouped through
-    /// [`rumor_core::MultiOp::process_batch_keyed`].
-    strict_regroup_safe: bool,
-    /// Highest port index among strict consumers (the channel-grouped
-    /// drain delivers lower ports first).
-    max_strict_port: usize,
-    /// Per-channel staging of the channel-grouped strict drain; entries
-    /// and their buffers persist across chunks so allocation amortizes.
-    strict_runs: Vec<(ChannelId, Vec<ChannelTuple>)>,
-    /// Emission collection buffer of the channel-grouped strict drain.
-    strict_emit: Vec<(ChannelId, ChannelTuple)>,
-    /// source index → connected component of the m-op graph. Components
-    /// share no operators, channels, or queries, so the dispatch gate may
-    /// choose a different feed mode per component.
-    component_of_source: Vec<usize>,
-    /// Adaptive dispatch gate, one profile per component: measured
-    /// profitability decides per chunk whether a hybrid-eligible stateful
-    /// component runs batched or per-event. Reset (like all routing state)
-    /// by [`ExecutablePlan::apply_delta`].
-    profiles: Vec<BatchProfile>,
-    /// Scratch for splitting a chunk's events by component.
-    comp_scratch: Vec<Vec<u32>>,
-    /// Flight recorder for this executor's runtime transitions (gate
-    /// flips and freezes). Shipped with [`ExecutablePlan::stats_report`];
-    /// carried across hot swaps like the counters.
-    trace: TraceRing,
     /// Total tuples pushed.
     pub events_in: u64,
     /// One wall-time sampling decision per source event, cached at the
@@ -341,8 +282,8 @@ impl ExecutablePlan {
     /// state: every m-op whose resolved context is unchanged keeps its
     /// existing instance — windows, sequence/iteration instance indexes,
     /// aggregate buckets and all — while added or rewired m-ops compile
-    /// cold and retired ones are dropped. Routing tables, the batching
-    /// gates, and the stateful-cone split are rebuilt from scratch for the
+    /// cold and retired ones are dropped. Routing tables, the batch-safety
+    /// flag, and the stateful-cone split are rebuilt from scratch for the
     /// new plan. `events_in` carries over.
     ///
     /// Call between pushes only (the engine fully drains every push
@@ -352,7 +293,7 @@ impl ExecutablePlan {
     /// error the engine is left exactly as it was (everything fallible
     /// runs before any state moves).
     pub fn apply_delta(&mut self, plan: &PlanGraph) -> Result<()> {
-        debug_assert!(self.pending.is_empty() && self.strict.is_empty() && self.cur.is_empty());
+        debug_assert!(self.pending.is_empty() && self.cur.is_empty());
         // Phase 1 — fallible, `self` untouched: resolve the new plan's
         // contexts and compile cold instances for every op that cannot
         // carry over.
@@ -390,9 +331,6 @@ impl ExecutablePlan {
             .collect();
         let mut fresh = Self::assemble(plan, order, op_ctxs, ops);
         fresh.events_in = self.events_in;
-        // The flight recorder spans hot swaps: a swap is exactly the kind
-        // of transition its timeline should keep.
-        fresh.trace = std::mem::take(&mut self.trace);
         // Stats counters are cumulative for the engine's life: surviving
         // ops keep theirs (cold-compiled replacements start at zero).
         for (i, id) in fresh.op_ids.iter().enumerate() {
@@ -404,7 +342,7 @@ impl ExecutablePlan {
         Ok(())
     }
 
-    /// Builds the routing tables, batching gates, and cone split around
+    /// Builds the routing tables, batch-safety flag, and cone split around
     /// compiled operators (`ops`/`op_ctxs` parallel to the topological
     /// `order`). Infallible: callers finish all fallible work first so
     /// hot swaps cannot leave an engine half-built.
@@ -516,183 +454,21 @@ impl ExecutablePlan {
 
         let batch_safe = ops.iter().all(|op| op.is_stateless());
 
-        // --- hybrid (stateless-prefix) batching gate ---------------------
-        // Split each channel's consumers into stateless (run-batchable) and
-        // stateful (strict, per-event in timestamp order) sets, then decide
-        // whether the hybrid drain reproduces the per-event engine exactly:
-        //
-        // 1. No stateful op may consume anything derived from a stateful
-        //    op's output: stateful cascades are processed inline per seed,
-        //    which can reorder equal-timestamp deliveries between siblings.
-        // 2. Every channel feeding a stateful op must carry at most one
-        //    event per source event along its stateless ancestry (one
-        //    emission per member stream, or one channelized tuple), so the
-        //    stable timestamp sort of staged strict events reproduces the
-        //    per-event delivery order exactly.
-        //
-        // Runs with equal timestamps inside one chunk are handled at push
-        // time (that chunk falls back to the per-event drain).
-        let stateless_op: Vec<bool> = ops.iter().map(|op| op.is_stateless()).collect();
-        let mut batch_consumers: Vec<Vec<(usize, PortId)>> = vec![Vec::new(); plan.channel_slots()];
-        let mut strict_consumers: Vec<Vec<(usize, PortId)>> =
-            vec![Vec::new(); plan.channel_slots()];
-        for (ch, list) in consumers.iter().enumerate() {
-            for &(idx, port) in list {
-                if stateless_op[idx] {
-                    batch_consumers[ch].push((idx, port));
-                } else {
-                    strict_consumers[ch].push((idx, port));
-                }
-            }
-        }
-        // Producing m-op (exec index) per channel; sources produce the rest.
-        let mut producer_of: Vec<Option<usize>> = vec![None; plan.channel_slots()];
-        for &id in &order {
-            let node = plan.mop(id);
-            for m in &node.members {
-                producer_of[plan.channel_of(m.output).index()] = Some(exec_index[&id]);
-            }
-        }
-        // Condition 1: no stateful op downstream of a stateful op.
-        let mut tainted = vec![false; plan.channel_slots()];
-        let mut cascade = false;
-        for &id in &order {
-            let node = plan.mop(id);
-            let idx = exec_index[&id];
-            let in_tainted = node.inputs.iter().any(|c| tainted[c.index()]);
-            if in_tainted && !stateless_op[idx] {
-                cascade = true;
-            }
-            if in_tainted || !stateless_op[idx] {
-                for m in &node.members {
-                    tainted[plan.channel_of(m.output).index()] = true;
-                }
-            }
-        }
-        // Condition 2: ≤1 event per (source event, channel) upstream of
-        // every strict channel. A multi-capacity channel qualifies when
-        // its producer *groups* emissions — channelized m-ops by
-        // construction, and any op reporting
-        // [`rumor_core::MultiOp::grouped_emission`] (one channel tuple
-        // with union membership per channel per input tuple).
-        let single_emission = |ch: usize| -> bool {
-            let mut stack = vec![ch];
-            let mut seen = vec![false; plan.channel_slots()];
-            while let Some(c) = stack.pop() {
-                if std::mem::replace(&mut seen[c], true) {
-                    continue;
-                }
-                let Some(p) = producer_of[c] else {
-                    continue; // source-fed channel: one event per push
-                };
-                let node = plan.mop(order[p]);
-                let channelized =
-                    matches!(node.kind, MopKind::ChannelSelect | MopKind::ChannelProject);
-                if plan.channel(ChannelId::from_index(c)).capacity() > 1
-                    && !channelized
-                    && !ops[p].grouped_emission()
-                {
-                    return false; // several members may emit per input event
-                }
-                stack.extend(node.inputs.iter().map(|i| i.index()));
-            }
-            true
-        };
-        // A plan with no stateless op at all still qualifies: its chunks
-        // stage straight into the strict phase, where channel-grouped
-        // delivery (`process_batch_keyed`) is the payoff.
-        let prefix_batch_safe = !batch_safe
-            && !cascade
-            && strict_consumers
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| !l.is_empty())
-                .all(|(ch, _)| single_emission(ch));
-
-        // The strict phase may regroup by channel only when every strict
-        // consumer tolerates port-grouped delivery (see
-        // [`rumor_core::MultiOp::port_batch_safe`]); one intolerant op
-        // (joins, opaque naive plans) keeps the whole plan on the sorted
-        // per-event strict path.
-        let mut any_strict = false;
-        let mut all_tolerant = true;
-        let mut max_strict_port = 0usize;
-        for &(idx, port) in strict_consumers.iter().flatten() {
-            any_strict = true;
-            max_strict_port = max_strict_port.max(port.index());
-            all_tolerant &= ops[idx].port_batch_safe();
-        }
-        let strict_regroup_safe = any_strict && all_tolerant;
-
-        // Connected components of the m-op graph (entities: ops, then
-        // sources), via union-find over channel producer/consumer edges.
-        // Components are fully independent — no shared operators, channels,
-        // or query taps — so the adaptive dispatch gate can pick a feed
-        // mode per component without affecting any other's results.
-        fn uf_find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        fn uf_union(parent: &mut [usize], a: usize, b: usize) {
-            let (ra, rb) = (uf_find(parent, a), uf_find(parent, b));
-            parent[ra] = rb;
-        }
-        let n_ops = ops.len();
-        let mut parent: Vec<usize> = (0..n_ops + source_channels.len()).collect();
-        let mut chan_entity: Vec<Option<usize>> = producer_of.clone();
-        for (si, &ch) in source_channels.iter().enumerate() {
-            match chan_entity[ch.index()] {
-                Some(e) => uf_union(&mut parent, e, n_ops + si),
-                None => chan_entity[ch.index()] = Some(n_ops + si),
-            }
-        }
-        for (ch, list) in consumers.iter().enumerate() {
-            if let Some(e) = chan_entity[ch] {
-                for &(idx, _) in list {
-                    uf_union(&mut parent, e, idx);
-                }
-            }
-        }
-        let mut roots: HashMap<usize, usize> = HashMap::new();
-        let component_of_source: Vec<usize> = (0..source_channels.len())
-            .map(|si| {
-                let root = uf_find(&mut parent, n_ops + si);
-                let next = roots.len();
-                *roots.entry(root).or_insert(next)
-            })
-            .collect();
-        let n_components = roots.len().max(1);
-
         ExecutablePlan {
-            op_counters: vec![OpCounters::default(); n_ops],
+            op_counters: vec![OpCounters::default(); ops.len()],
             ops,
             op_ids: order,
             op_ctxs,
             consumers,
             stateful_root,
             free_root,
-            batch_consumers,
-            strict_consumers,
             query_taps,
             tap_masks,
             source_channels,
             pending: VecDeque::new(),
             batch_safe,
-            prefix_batch_safe,
             cur: EventBuf::default(),
             nxt: EventBuf::default(),
-            strict: Vec::new(),
-            strict_regroup_safe,
-            max_strict_port,
-            strict_runs: Vec::new(),
-            strict_emit: Vec::new(),
-            component_of_source,
-            profiles: vec![BatchProfile::default(); n_components],
-            comp_scratch: Vec::new(),
-            trace: TraceRing::with_capacity(64),
             events_in: 0,
             sample_this: false,
         }
@@ -872,24 +648,6 @@ impl ExecutablePlan {
         self.batch_safe
     }
 
-    /// Whether this *stateful* plan is eligible for the chunked, gated
-    /// batch dispatch: any stateless prefix runs through the
-    /// channel-batched drain, and events reaching stateful m-ops are
-    /// delivered channel-grouped (per-key sub-batched, see
-    /// [`rumor_core::MultiOp::process_batch_keyed`]) or per-event in
-    /// timestamp order, as the adaptive gate decides. Plans with no
-    /// stateless op at all qualify too — their chunks stage straight into
-    /// the strict phase. False when the plan is fully stateless (the
-    /// whole plan batches, see [`ExecutablePlan::is_batch_safe`]) or when
-    /// exact per-event equivalence cannot be guaranteed statically:
-    /// stateful operators feeding stateful operators, or an ancestry that
-    /// may emit more than one event per source event on one channel
-    /// (multi-member channels qualify only when their producer groups
-    /// emissions, see [`rumor_core::MultiOp::grouped_emission`]).
-    pub fn is_prefix_batch_safe(&self) -> bool {
-        self.prefix_batch_safe
-    }
-
     /// Per-m-op partitioning key reports (see
     /// [`rumor_core::MultiOp::partition_keys`]), the physical input to
     /// [`rumor_core::partition::analyze`].
@@ -903,9 +661,8 @@ impl ExecutablePlan {
 
     /// A point-in-time introspection report for this executor: per-op
     /// dispatch counters (cumulative since construction, hot swaps
-    /// included) plus sampled state-size gauges and the adaptive gate's
-    /// per-component state. Partition-parallel runtimes fold one report
-    /// per worker with [`ExecStatsReport::absorb`].
+    /// included) plus sampled state-size gauges. Partition-parallel
+    /// runtimes fold one report per worker with [`ExecStatsReport::absorb`].
     pub fn stats_report(&self) -> ExecStatsReport {
         let ops = self
             .op_ids
@@ -925,69 +682,40 @@ impl ExecutablePlan {
                 sampled_events: c.sampled_events,
             })
             .collect();
-        let gates = self
-            .profiles
-            .iter()
-            .enumerate()
-            .map(|(component, p)| GateStats {
-                component,
-                mode: p.preferred(),
-                frozen: p.is_frozen(),
-                forced: BatchProfile::forced(),
-            })
-            .collect();
-        ExecStatsReport {
-            ops,
-            gates,
-            trace: self.trace.events().cloned().collect(),
-        }
+        ExecStatsReport { ops }
     }
 
     /// Pushes a timestamp-ordered slice of source events through the plan.
     ///
     /// Per-query results are identical to pushing the events one at a time
-    /// with [`ExecutablePlan::push`]. On stateless plans (see
+    /// with [`ExecutablePlan::push`], and the dispatch follows one static
+    /// rule. On fully stateless plans (see
     /// [`ExecutablePlan::is_batch_safe`]) events are routed at *run*
     /// granularity: consecutive same-channel events form one
     /// [`rumor_core::MultiOp::process_batch`] call per consumer, amortizing
-    /// routing, dispatch, and queue bookkeeping over the run. On stateful
-    /// plans whose shape permits it (see
-    /// [`ExecutablePlan::is_prefix_batch_safe`]) the choice between the
-    /// hybrid drain and plain per-event delivery is no longer static: an
-    /// *adaptive dispatch gate* (one [`BatchProfile`] per plan component)
-    /// times both modes and keeps whichever measures faster, re-probing
-    /// the loser on a decaying schedule. Under the hybrid drain the
-    /// stateless prefix is run-batched and events reaching stateful m-ops
-    /// are delivered channel-grouped through
-    /// [`rumor_core::MultiOp::process_batch_keyed`] when every strict
-    /// consumer tolerates it, or per-event in global timestamp order
-    /// otherwise. Chunks containing equal timestamps, and plans where the
-    /// hybrid cannot be proven exact, always take the per-event drain for
-    /// the whole chunk; the gate never changes results, only speed.
+    /// routing, dispatch, and queue bookkeeping over the run. A plan with
+    /// any stateful m-op feeds every event through
+    /// [`ExecutablePlan::push`], in order: stateful m-ops must see events
+    /// in global timestamp order to give the per-query answers of the
+    /// operators they replace, and per-event delivery is the order the
+    /// conformance oracle runs.
     pub fn push_batch(
         &mut self,
         events: &[(SourceId, Tuple)],
         sink: &mut dyn QuerySink,
     ) -> Result<()> {
-        if self.batch_safe {
-            // Fully stateless: the run-batched drain is a statically
-            // proven win, no gating needed. Drain in bounded chunks so the
-            // level buffers stay cache-resident: one wave over the whole
-            // input would materialize every derived level in full, trading
-            // the per-event queue overhead for memory traffic.
-            for chunk in events.chunks(BATCH_CHUNK) {
-                self.run_chunk_hybrid(chunk.iter(), sink)?;
-            }
-            return Ok(());
-        }
-        if !self.prefix_batch_safe {
+        if !self.batch_safe {
             for (source, tuple) in events {
                 self.push(*source, tuple.clone(), sink)?;
             }
             return Ok(());
         }
+        // Drain in bounded chunks so the level buffers stay cache-resident:
+        // one wave over the whole input would materialize every derived
+        // level in full, trading the per-event queue overhead for memory
+        // traffic.
         for chunk in events.chunks(BATCH_CHUNK) {
-            self.push_chunk_gated(chunk.iter(), chunk.len(), sink)?;
+            self.run_chunk_batched(chunk.iter(), sink)?;
         }
         Ok(())
     }
@@ -997,21 +725,14 @@ impl ExecutablePlan {
     /// the worker-side half of shared-batch delivery — partition-parallel
     /// runtimes ship one shared event slice plus a per-worker index list
     /// instead of materializing per-worker event runs, and each worker
-    /// feeds its selection through the same chunked, gated machinery as a
-    /// contiguous batch.
+    /// feeds its selection by the same rule as a contiguous batch.
     pub fn push_batch_indexed(
         &mut self,
         events: &[(SourceId, Tuple)],
         indices: &[u32],
         sink: &mut dyn QuerySink,
     ) -> Result<()> {
-        if self.batch_safe {
-            for chunk in indices.chunks(BATCH_CHUNK) {
-                self.run_chunk_hybrid(chunk.iter().map(|&i| &events[i as usize]), sink)?;
-            }
-            return Ok(());
-        }
-        if !self.prefix_batch_safe {
+        if !self.batch_safe {
             for &i in indices {
                 let (source, tuple) = &events[i as usize];
                 self.push(*source, tuple.clone(), sink)?;
@@ -1019,204 +740,16 @@ impl ExecutablePlan {
             return Ok(());
         }
         for chunk in indices.chunks(BATCH_CHUNK) {
-            self.push_chunk_gated(
-                chunk.iter().map(|&i| &events[i as usize]),
-                chunk.len(),
-                sink,
-            )?;
+            self.run_chunk_batched(chunk.iter().map(|&i| &events[i as usize]), sink)?;
         }
         Ok(())
     }
 
-    /// One hybrid-eligible chunk through the adaptive dispatch gate. With
-    /// a single component the whole chunk is gated as one unit; with
-    /// several, the chunk splits by component (components share nothing,
-    /// so their relative processing order is unobservable) and each
-    /// sub-chunk is gated independently.
-    fn push_chunk_gated<'a, I>(
-        &mut self,
-        chunk: I,
-        len: usize,
-        sink: &mut dyn QuerySink,
-    ) -> Result<()>
-    where
-        I: Iterator<Item = &'a (SourceId, Tuple)> + Clone,
-    {
-        if self.profiles.len() <= 1 {
-            return self.push_chunk_adaptive(0, len, chunk, sink);
-        }
-        let refs: Vec<&(SourceId, Tuple)> = chunk.collect();
-        let mut bufs = std::mem::take(&mut self.comp_scratch);
-        bufs.resize(self.profiles.len(), Vec::new());
-        for b in &mut bufs {
-            b.clear();
-        }
-        // An unknown source stops the split: everything before it (the
-        // valid prefix, across all components) is processed, then the
-        // error surfaces — matching `push` semantics.
-        let mut bad_source = None;
-        for (i, r) in refs.iter().enumerate() {
-            match self.component_of_source.get(r.0.index()) {
-                Some(&c) => bufs[c].push(i as u32),
-                None => {
-                    bad_source = Some(r.0);
-                    break;
-                }
-            }
-        }
-        let mut result = Ok(());
-        for (c, idxs) in bufs.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            result = self.push_chunk_adaptive(
-                c,
-                idxs.len(),
-                idxs.iter().map(|&i| refs[i as usize]),
-                sink,
-            );
-            if result.is_err() {
-                break;
-            }
-        }
-        self.comp_scratch = bufs;
-        result?;
-        if let Some(source) = bad_source {
-            return Err(RumorError::exec(format!("unknown source {source}")));
-        }
-        Ok(())
-    }
-
-    /// Feeds one component's chunk in the mode its [`BatchProfile`] picks,
-    /// timing the choice so the profile learns. Chunks with timestamp ties
-    /// are forced per-event (the hybrid drain's exactness proof needs
-    /// strictly increasing timestamps) but still recorded — a forced
-    /// per-event chunk is a genuine per-event sample.
-    ///
-    /// Exploration picks (warmup and probes of the non-standing mode) run
-    /// on a capped sub-chunk, with the remainder delivered in the standing
-    /// mode: a mode that loses badly — e.g. the hybrid drain on a plan
-    /// whose state access dominates — costs [`PROBE_CAP`] events of slow
-    /// dispatch, not a whole chunk. Both modes are exact at any split
-    /// point, so splitting never changes results. Chunks too small to
-    /// afford the split skip the sample and run the standing mode; the
-    /// probe waits for a bigger chunk.
-    fn push_chunk_adaptive<'a, I>(
-        &mut self,
-        comp: usize,
-        len: usize,
-        chunk: I,
-        sink: &mut dyn QuerySink,
-    ) -> Result<()>
-    where
-        I: Iterator<Item = &'a (SourceId, Tuple)> + Clone,
-    {
-        let mut tied = false;
-        let mut prev: Option<Timestamp> = None;
-        for (_, tuple) in chunk.clone() {
-            if prev.is_some_and(|p| p >= tuple.ts) {
-                tied = true;
-                break;
-            }
-            prev = Some(tuple.ts);
-        }
-        let (mode, exploratory) = if tied {
-            (FeedMode::PerEvent, false)
-        } else {
-            self.profiles[comp].choose()
-        };
-        if exploratory {
-            let steady = match mode {
-                FeedMode::PerEvent => FeedMode::Batched,
-                FeedMode::Batched => FeedMode::PerEvent,
-            };
-            if len >= 2 * PROBE_CAP {
-                let start = Instant::now();
-                let r = self.run_chunk_mode(mode, chunk.clone().take(PROBE_CAP), sink);
-                self.gate_record(comp, mode, PROBE_CAP, start.elapsed().as_nanos() as u64);
-                r?;
-                let start = Instant::now();
-                let r = self.run_chunk_mode(steady, chunk.skip(PROBE_CAP), sink);
-                self.gate_record(
-                    comp,
-                    steady,
-                    len - PROBE_CAP,
-                    start.elapsed().as_nanos() as u64,
-                );
-                return r;
-            }
-            let start = Instant::now();
-            let r = self.run_chunk_mode(steady, chunk, sink);
-            self.gate_record(comp, steady, len, start.elapsed().as_nanos() as u64);
-            return r;
-        }
-        let start = Instant::now();
-        let result = self.run_chunk_mode(mode, chunk, sink);
-        self.gate_record(comp, mode, len, start.elapsed().as_nanos() as u64);
-        result
-    }
-
-    /// Feeds one measured sample into a component's gate profile,
-    /// journaling preference flips and freezes into the flight recorder.
-    /// The profile update itself is core behavior (the gate adapts with
-    /// or without stats); only the journaling is compiled out by
-    /// `stats-off`.
-    fn gate_record(&mut self, comp: usize, mode: FeedMode, events: usize, nanos: u64) {
-        #[cfg(not(feature = "stats-off"))]
-        let before = (
-            self.profiles[comp].is_frozen(),
-            self.profiles[comp].preferred(),
-        );
-        self.profiles[comp].record(mode, events, nanos);
-        #[cfg(not(feature = "stats-off"))]
-        {
-            let p = &self.profiles[comp];
-            if p.is_frozen() && !before.0 {
-                self.trace.record(
-                    "gate_freeze",
-                    format!(
-                        "component {comp} froze {}",
-                        crate::stats::mode_str(p.preferred())
-                    ),
-                );
-            } else if p.preferred() != before.1 {
-                self.trace.record(
-                    "gate_flip",
-                    format!(
-                        "component {comp} now prefers {}",
-                        crate::stats::mode_str(p.preferred())
-                    ),
-                );
-            }
-        }
-    }
-
-    /// One chunk through one feed mode (the adaptive gate's two arms).
-    fn run_chunk_mode<'a, I>(
-        &mut self,
-        mode: FeedMode,
-        chunk: I,
-        sink: &mut dyn QuerySink,
-    ) -> Result<()>
-    where
-        I: Iterator<Item = &'a (SourceId, Tuple)> + Clone,
-    {
-        match mode {
-            FeedMode::PerEvent => {
-                for (source, tuple) in chunk {
-                    self.push(*source, tuple.clone(), sink)?;
-                }
-                Ok(())
-            }
-            FeedMode::Batched => self.run_chunk_hybrid(chunk, sink),
-        }
-    }
-
-    /// Stages one chunk and runs the hybrid drain (batched stateless
-    /// phase, then the strict phase). On an unknown source, matches
-    /// `push`: the valid prefix is fully processed (drained, counted)
-    /// before the error — no staged events may leak into a later call.
-    fn run_chunk_hybrid<'a, I>(&mut self, chunk: I, sink: &mut dyn QuerySink) -> Result<()>
+    /// Stages one chunk and runs the batched drain. On an unknown source,
+    /// matches `push`: the valid prefix is fully processed (drained,
+    /// counted) before the error — no staged events may leak into a later
+    /// call.
+    fn run_chunk_batched<'a, I>(&mut self, chunk: I, sink: &mut dyn QuerySink) -> Result<()>
     where
         I: Iterator<Item = &'a (SourceId, Tuple)>,
     {
@@ -1235,28 +768,18 @@ impl ExecutablePlan {
         }
         self.tick_sample();
         self.drain_batched(sink);
-        self.drain_strict(sink);
         if let Some(source) = bad_source {
             return Err(RumorError::exec(format!("unknown source {source}")));
         }
         Ok(())
     }
 
-    /// The dispatch gate's current preference for one source's component
-    /// (diagnostics; see [`BatchProfile`]).
-    pub fn gate_preference(&self, source: SourceId) -> Option<FeedMode> {
-        let comp = *self.component_of_source.get(source.index())?;
-        self.profiles.get(comp).map(|p| p.preferred())
-    }
-
-    /// Level-order batched drain: consumes the whole current buffer (runs
-    /// of consecutive same-channel events feed each *stateless* consumer
-    /// through one `process_batch` call), with all emissions collected into
-    /// the next buffer; then the buffers swap. Per-channel event order is
-    /// preserved, which is all stateless consumers and query delivery
-    /// observe. Events on channels with stateful consumers are staged into
-    /// `strict` for the per-event phase ([`ExecutablePlan::drain_strict`]);
-    /// on fully stateless plans that staging never triggers.
+    /// Level-order batched drain of a fully stateless plan: consumes the
+    /// whole current buffer (runs of consecutive same-channel events feed
+    /// each consumer through one `process_batch` call), with all emissions
+    /// collected into the next buffer; then the buffers swap. Per-channel
+    /// event order is preserved, which is all stateless consumers and
+    /// query delivery observe.
     fn drain_batched(&mut self, sink: &mut dyn QuerySink) {
         let detailed = sink.wants_tuples();
         while !self.cur.is_empty() {
@@ -1272,10 +795,7 @@ impl ExecutablePlan {
                 }
                 let run = &cur.tuples[i..j];
                 self.deliver_taps(ch, run, detailed, sink);
-                if !self.strict_consumers[ch.index()].is_empty() {
-                    self.strict.extend(run.iter().map(|ct| (ch, ct.clone())));
-                }
-                for &(idx, port) in &self.batch_consumers[ch.index()] {
+                for &(idx, port) in &self.consumers[ch.index()] {
                     let before = self.nxt.chans.len();
                     let t0 = self.op_counters[idx].sample_start();
                     let mut emit = BufEmit { buf: &mut self.nxt };
@@ -1292,104 +812,6 @@ impl ExecutablePlan {
             self.cur.clear();
             std::mem::swap(&mut self.cur, &mut self.nxt);
         }
-    }
-
-    /// Per-event phase of the hybrid drain: delivers the staged strict
-    /// events to their stateful consumers in global timestamp order (the
-    /// sort is stable, and within one source event the staging order is the
-    /// per-event engine's BFS order), fully draining each seed's downstream
-    /// cascade — taps included — before the next seed, exactly as the
-    /// per-event engine would. The seeds themselves are not re-tapped:
-    /// their query taps were delivered during the batched phase.
-    fn drain_strict(&mut self, sink: &mut dyn QuerySink) {
-        if self.strict.is_empty() {
-            return;
-        }
-        if self.strict_regroup_safe && self.strict.len() > 1 {
-            self.drain_strict_grouped(sink);
-            return;
-        }
-        let mut strict = std::mem::take(&mut self.strict);
-        strict.sort_by_key(|(_, ct)| ct.tuple.ts);
-        for (ch, ct) in strict.drain(..) {
-            for &(idx, port) in &self.strict_consumers[ch.index()] {
-                let before = self.pending.len();
-                let t0 = self.op_counters[idx].sample_start();
-                let mut emit = QueueEmit {
-                    pending: &mut self.pending,
-                };
-                self.ops[idx].process(port, &ct, &mut emit);
-                self.op_counters[idx].record_event((self.pending.len() - before) as u64);
-                self.op_counters[idx].record_time(t0, 1);
-            }
-            self.drain(sink);
-        }
-        // Recycle the staging allocation.
-        self.strict = strict;
-    }
-
-    /// Channel-grouped strict phase: instead of sorting the staged events
-    /// into one global timestamp order and paying a hash, an eviction
-    /// sweep, and a full queue drain *per event*, deliver each strict
-    /// channel's whole run through
-    /// [`rumor_core::MultiOp::process_batch_keyed`] — lower ports first,
-    /// so state-writing arrivals land before the guarded probes that read
-    /// them (every strict consumer opted in via
-    /// [`rumor_core::MultiOp::port_batch_safe`]). The collected emissions
-    /// are stably sorted by timestamp, which reproduces the per-event
-    /// engine's emission sequence (the `process_batch_keyed` contract),
-    /// and cascaded through one queue drain; downstream consumers are
-    /// stateless (the hybrid gate forbids stateful cascades), so
-    /// per-channel — and therefore per-query — order is preserved.
-    fn drain_strict_grouped(&mut self, sink: &mut dyn QuerySink) {
-        let mut runs = std::mem::take(&mut self.strict_runs);
-        // Bucket staged events by channel, preserving staging order: the
-        // stateless prefix is unary, so each strict channel materializes
-        // at one drain level and its events are staged in strictly
-        // increasing timestamp order (asserted below).
-        for (ch, ct) in self.strict.drain(..) {
-            match runs.iter_mut().find(|(c, _)| *c == ch) {
-                Some((_, run)) => run.push(ct),
-                None => runs.push((ch, vec![ct])),
-            }
-        }
-        let mut emissions = std::mem::take(&mut self.strict_emit);
-        debug_assert!(emissions.is_empty());
-        for pass in 0..=self.max_strict_port {
-            for (ch, run) in &runs {
-                if run.is_empty() {
-                    continue;
-                }
-                debug_assert!(
-                    run.windows(2).all(|w| w[0].tuple.ts < w[1].tuple.ts),
-                    "strict channel run must be strictly timestamp-ordered"
-                );
-                for &(idx, port) in &self.strict_consumers[ch.index()] {
-                    if port.index() != pass {
-                        continue;
-                    }
-                    let before = emissions.len();
-                    let t0 = self.op_counters[idx].sample_start();
-                    let mut emit = CollectEmit {
-                        out: &mut emissions,
-                    };
-                    self.ops[idx].process_batch_keyed(port, run, &mut emit);
-                    self.op_counters[idx]
-                        .record_batch(run.len() as u64, (emissions.len() - before) as u64);
-                    self.op_counters[idx].record_time(t0, run.len() as u64);
-                }
-            }
-        }
-        // Recycle the per-channel buffers (entries persist so channel
-        // lookup and capacity amortize across chunks).
-        for (_, run) in &mut runs {
-            run.clear();
-        }
-        self.strict_runs = runs;
-        emissions.sort_by_key(|(_, ct)| ct.tuple.ts);
-        self.pending.extend(emissions.drain(..));
-        self.strict_emit = emissions;
-        self.drain(sink);
     }
 
     /// Query-tap delivery for one run (identical per-query ordering to the
@@ -1589,8 +1011,8 @@ mod tests {
 
     #[test]
     fn push_batch_falls_back_on_stateful_plan() {
-        // A sequence query makes the plan stateful: push_batch must take
-        // the strict per-event path and still match push exactly.
+        // A sequence query makes the plan stateful: push_batch must feed
+        // every event through push and match it exactly.
         let build = || {
             let mut plan = PlanGraph::new();
             plan.add_source("S", Schema::ints(2), None).unwrap();
@@ -1641,9 +1063,8 @@ mod tests {
 
     #[test]
     fn push_batch_equal_timestamps_take_per_event_fallback_and_match_push() {
-        // Equal timestamps void the hybrid drain's exactness proof, so any
-        // chunk containing a tie must run strictly per-event — and still
-        // match push exactly, including per-query result order.
+        // All-tied input on a stateful plan must match push exactly,
+        // including per-query result order.
         let build = || {
             let mut plan = PlanGraph::new();
             plan.add_source("S", Schema::ints(2), None).unwrap();
@@ -1681,7 +1102,6 @@ mod tests {
             .collect();
 
         let mut exec_a = ExecutablePlan::new(&plan).unwrap();
-        assert!(exec_a.is_prefix_batch_safe());
         let mut a = CollectingSink::default();
         for (src, tu) in &events {
             exec_a.push(*src, tu.clone(), &mut a).unwrap();
@@ -1692,63 +1112,6 @@ mod tests {
         assert!(!a.of(q).is_empty(), "workload must produce matches");
         assert_eq!(a.of(q), b.of(q));
         assert_eq!(exec_a.events_in, exec_b.events_in);
-    }
-
-    #[test]
-    fn hybrid_gate_engages_on_select_prefix_but_not_on_stateful_cascade() {
-        // Select prefix feeding a sequence: stateless-prefix batching is
-        // provably exact, so the hybrid drain engages.
-        let mut plan = PlanGraph::new();
-        plan.add_source("S", Schema::ints(2), None).unwrap();
-        plan.add_source("T", Schema::ints(2), None).unwrap();
-        plan.add_query(
-            &LogicalPlan::source("S")
-                .select(Predicate::attr_eq_const(0, 1i64))
-                .followed_by(
-                    LogicalPlan::source("T"),
-                    SeqSpec {
-                        predicate: Predicate::cmp(CmpOp::Eq, Expr::col(1), Expr::rcol(1)),
-                        window: 8,
-                    },
-                ),
-        )
-        .unwrap();
-        let exec = ExecutablePlan::new(&plan).unwrap();
-        assert!(!exec.is_batch_safe());
-        assert!(exec.is_prefix_batch_safe());
-
-        // An aggregate feeding an iterate is a stateful cascade: the hybrid
-        // cannot be proven exact, so push_batch stays strictly per-event.
-        let mut plan = PlanGraph::new();
-        plan.add_source("cpu", Schema::ints(2), None).unwrap();
-        plan.add_query(
-            &LogicalPlan::source("cpu")
-                .aggregate(rumor_core::AggSpec {
-                    func: rumor_core::AggFunc::Avg,
-                    input: Expr::col(1),
-                    group_by: vec![0],
-                    window: 5,
-                })
-                .iterate(
-                    LogicalPlan::source("cpu"),
-                    rumor_core::IterSpec {
-                        filter: Predicate::cmp(CmpOp::Ne, Expr::col(0), Expr::rcol(0)),
-                        rebind: Predicate::cmp(CmpOp::Eq, Expr::col(0), Expr::rcol(0)),
-                        rebind_map: rumor_expr::SchemaMap::new(vec![
-                            rumor_expr::NamedExpr::new("a0", Expr::col(0)),
-                            rumor_expr::NamedExpr::new("avg", Expr::col(1)),
-                        ]),
-                        window: 10,
-                    },
-                )
-                // A trailing selection keeps a stateless op in the plan, so
-                // the gate closes specifically because of the cascade.
-                .select(Predicate::attr_eq_const(0, 7i64)),
-        )
-        .unwrap();
-        let exec = ExecutablePlan::new(&plan).unwrap();
-        assert!(!exec.is_batch_safe());
-        assert!(!exec.is_prefix_batch_safe());
     }
 
     #[test]
@@ -1958,7 +1321,6 @@ mod tests {
         }
         let report = exec.stats_report();
         assert_eq!(report.ops.len(), 1);
-        assert_eq!(report.gates.len(), 1);
         if crate::stats::STATS_COMPILED {
             let op = &report.ops[0];
             assert_eq!(op.events_in, 10);
@@ -1971,8 +1333,8 @@ mod tests {
 
     #[test]
     fn stats_report_tracks_batched_dispatch_and_state() {
-        // A stateless select batch-drains; a sequence keeps state the
-        // report samples.
+        // A sequence keeps state the report samples, and makes the plan
+        // stateful, so push_batch dispatches it per event only.
         let mut plan = PlanGraph::new();
         let s = plan.add_source("S", Schema::ints(2), None).unwrap();
         let t = plan.add_source("T", Schema::ints(2), None).unwrap();
@@ -2003,6 +1365,8 @@ mod tests {
                 .find(|o| o.state_size > 0)
                 .expect("the sequence op holds live instances");
             assert!(seq.events_in > 0);
+            assert_eq!(seq.batch_calls, 0);
+            assert_eq!(seq.event_calls, seq.events_in);
         }
     }
 

@@ -14,10 +14,10 @@
 //! catch-all:
 //!
 //! * `session().build()?` — [`LocalRuntime`], the single-threaded push
-//!   engine. Fully stateless plans batch at channel-run granularity;
-//!   stateful plans run *hybrid*, batching the stateless prefix and
-//!   dropping to timestamp-ordered per-event delivery only at the first
-//!   stateful m-op ([`ExecutablePlan::is_prefix_batch_safe`]).
+//!   engine. Fully stateless plans batch at channel-run granularity
+//!   ([`ExecutablePlan::is_batch_safe`]); a plan with any stateful m-op
+//!   runs every event through timestamp-ordered per-event delivery
+//!   ([`ExecutablePlan::push_batch`]).
 //! * `session().workers(n).build()?` — [`StreamingShardedRuntime`], the
 //!   persistent worker pool: long-lived workers behind bounded queues
 //!   with backpressure, fed by the static partition router
@@ -106,8 +106,7 @@ pub mod stats;
 
 pub use exec::{CollectingSink, ConeScope, CountingSink, DiscardSink, ExecutablePlan, QuerySink};
 pub use metrics::{
-    measure, measure_batched, measure_mode, BatchProfile, FeedMode, InputEvent, Measurement,
-    Protocol,
+    measure, measure_batched, measure_mode, FeedMode, InputEvent, Measurement, Protocol,
 };
 pub use session::{
     EventRuntime, LocalRuntime, Session, SessionBuilder, SessionConfig, Subscription,
@@ -115,9 +114,8 @@ pub use session::{
 pub use shard::{MergeSink, ShardedRuntime, StreamingConfig, StreamingShardedRuntime};
 pub use stats::{
     trace_clock_nanos, trace_json_lines, CollectingMeterSink, ExecStatsReport, FileMeterSink,
-    GateStats, Histogram, Meter, MeterSink, OpStats, QuerySharing, QueryStats, RuntimeStats,
-    SharedOpRef, StatsSnapshot, StderrMeterSink, TraceEvent, TraceRing, STATS_COMPILED,
-    TIME_SAMPLE_EVERY,
+    Histogram, Meter, MeterSink, OpStats, QuerySharing, QueryStats, RuntimeStats, SharedOpRef,
+    StatsSnapshot, StderrMeterSink, TraceEvent, TraceRing, STATS_COMPILED, TIME_SAMPLE_EVERY,
 };
 
 use std::collections::HashMap;

@@ -18,235 +18,6 @@ pub enum FeedMode {
     Batched,
 }
 
-/// Measured batch profitability of one plan component — the record behind
-/// the engine's *adaptive dispatch gate*.
-///
-/// [`crate::exec::ExecutablePlan::push_batch`] on a hybrid-eligible
-/// stateful plan no longer commits statically to the hybrid drain: each
-/// component warms up by alternating both feed modes twice (so one cold
-/// or throttled chunk cannot decide alone), then keeps choosing the mode
-/// with the higher observed event rate, re-probing the loser on a
-/// deterministic exponential-backoff schedule (ticks 4, 16, 64, …).
-/// Exploration picks are flagged so the engine can sample them on a
-/// capped sub-chunk — a badly losing mode costs a bounded slice of one
-/// chunk, never a whole one. Two
-/// consecutive probes that fail to dethrone the winner freeze the choice
-/// for the rest of the engine's life, so a steady-state workload pays no
-/// further exploration cost. Rates are exponentially-weighted moving
-/// averages, so a workload whose profitability shifts *before* the freeze
-/// flips the gate within a few chunks.
-///
-/// The comparison is asymmetric on purpose: per-event dispatch is the
-/// baseline the conformance oracle runs, so batched dispatch must beat it
-/// by a clear hysteresis margin ([`BatchProfile::MARGIN`]) to win.
-/// Genuinely batch-profitable plans clear the margin by a wide multiple;
-/// plans near parity stay per-event instead of ping-ponging on timer
-/// noise — on a shared or cgroup-throttled host a single lucky sample is
-/// no longer enough to lock in the slower mode.
-///
-/// The profile is clock-free (callers pass elapsed nanoseconds), fully
-/// deterministic given the same timing inputs, and conformance-neutral:
-/// both feed modes are per-event-equivalent, so the gate only ever changes
-/// *speed*, never results.
-#[derive(Debug, Clone)]
-pub struct BatchProfile {
-    /// EWMA events/sec, indexed by [`BatchProfile::slot`].
-    rate: [f64; 2],
-    /// Samples recorded per mode.
-    trials: [u64; 2],
-    /// Choices made so far (drives the probe schedule).
-    tick: u64,
-    /// Winner at the time of the last completed probe, if any.
-    probed_winner: Option<FeedMode>,
-    /// Probes in a row that confirmed the standing winner.
-    confirmations: u32,
-    /// Set once exploration ends; `choose` returns this forever after.
-    frozen: Option<FeedMode>,
-}
-
-impl Default for BatchProfile {
-    fn default() -> Self {
-        BatchProfile {
-            rate: [0.0; 2],
-            trials: [0; 2],
-            tick: 0,
-            probed_winner: None,
-            confirmations: 0,
-            frozen: None,
-        }
-    }
-}
-
-impl BatchProfile {
-    /// Probes that must confirm the standing winner before freezing.
-    const FREEZE_AFTER: u32 = 2;
-    /// EWMA weight of a new sample.
-    const ALPHA: f64 = 0.4;
-    /// Fractional rate advantage batched dispatch must show over per-event
-    /// before it is preferred (hysteresis; see the type-level docs).
-    pub const MARGIN: f64 = 0.05;
-    /// Samples of each mode taken (alternating) before the gate starts
-    /// picking winners.
-    const WARMUP_TRIALS: u64 = 2;
-
-    fn slot(mode: FeedMode) -> usize {
-        match mode {
-            FeedMode::PerEvent => 0,
-            FeedMode::Batched => 1,
-        }
-    }
-
-    /// Whether `tick` (1-based) is on the probe schedule: powers of four,
-    /// so exploration cost decays geometrically.
-    fn is_probe_tick(tick: u64) -> bool {
-        tick >= 4 && tick.is_power_of_two() && tick.trailing_zeros().is_multiple_of(2)
-    }
-
-    /// Picks the feed mode for the next chunk and advances the schedule,
-    /// returning the mode plus whether the pick is an *exploration* sample
-    /// (a warmup or probe of the non-standing mode). Exploration picks may
-    /// be arbitrarily slower than the standing winner, so callers should
-    /// bound how much input they risk on one (the engine samples them on a
-    /// capped sub-chunk). Callers must follow up with
-    /// [`BatchProfile::record`] for whatever actually ran — a forced
-    /// per-event fallback is still a genuine per-event sample.
-    ///
-    /// Setting `RUMOR_FORCE_PER_EVENT` or `RUMOR_FORCE_BATCHED` in the
-    /// environment pins every choice to one mode (for A/B measurement,
-    /// e.g. against the throughput bench). Both modes are exact, so
-    /// forcing only ever moves speed, never results.
-    pub fn choose(&mut self) -> (FeedMode, bool) {
-        self.tick += 1;
-        if let Some(mode) = Self::forced_mode() {
-            return (mode, false);
-        }
-        if let Some(mode) = self.frozen {
-            return (mode, false);
-        }
-        // Warmup: sample batched until both modes have enough evidence
-        // (callers recording each capped probe *and* its per-event
-        // remainder finish warmup in two ticks; plain callers alternate).
-        let b = self.trials[Self::slot(FeedMode::Batched)];
-        let p = self.trials[Self::slot(FeedMode::PerEvent)];
-        if b < Self::WARMUP_TRIALS || p < Self::WARMUP_TRIALS {
-            return if b <= p {
-                (FeedMode::Batched, true)
-            } else {
-                (FeedMode::PerEvent, false)
-            };
-        }
-        let winner = self.preferred();
-        if Self::is_probe_tick(self.tick) {
-            return (Self::other(winner), true);
-        }
-        (winner, false)
-    }
-
-    /// The mode pinned by `RUMOR_FORCE_PER_EVENT` / `RUMOR_FORCE_BATCHED`,
-    /// if either is set (checked once per process).
-    fn forced_mode() -> Option<FeedMode> {
-        static FORCED: std::sync::OnceLock<Option<FeedMode>> = std::sync::OnceLock::new();
-        *FORCED.get_or_init(|| {
-            Self::forced_from(
-                std::env::var_os("RUMOR_FORCE_PER_EVENT").is_some(),
-                std::env::var_os("RUMOR_FORCE_BATCHED").is_some(),
-            )
-        })
-    }
-
-    /// The pure env-var → mode mapping behind [`BatchProfile::forced`]:
-    /// `RUMOR_FORCE_PER_EVENT` wins over `RUMOR_FORCE_BATCHED` when both
-    /// are set (per-event is the reference oracle's dispatch order).
-    /// Split out so the precedence is unit-testable despite the
-    /// once-per-process caching of the real environment read.
-    fn forced_from(per_event: bool, batched: bool) -> Option<FeedMode> {
-        if per_event {
-            Some(FeedMode::PerEvent)
-        } else if batched {
-            Some(FeedMode::Batched)
-        } else {
-            None
-        }
-    }
-
-    /// The process-wide pinned mode, if `RUMOR_FORCE_PER_EVENT` or
-    /// `RUMOR_FORCE_BATCHED` was set when the gate first consulted the
-    /// environment. Surfaced in [`crate::stats::GateStats`] so a forced
-    /// A/B run is visible in every snapshot it produced.
-    pub fn forced() -> Option<FeedMode> {
-        Self::forced_mode()
-    }
-
-    /// Folds one timed chunk into the profile. `nanos` is the chunk's
-    /// wall-clock duration; zero durations (timer granularity) count as
-    /// one nanosecond.
-    pub fn record(&mut self, mode: FeedMode, events: usize, nanos: u64) {
-        if events == 0 {
-            return;
-        }
-        let s = Self::slot(mode);
-        let sample = events as f64 * 1e9 / nanos.max(1) as f64;
-        self.rate[s] = if self.trials[s] == 0 {
-            sample
-        } else {
-            Self::ALPHA * sample + (1.0 - Self::ALPHA) * self.rate[s]
-        };
-        let warmed_up =
-            self.trials[0] >= Self::WARMUP_TRIALS && self.trials[1] >= Self::WARMUP_TRIALS;
-        self.trials[s] += 1;
-        // A completed probe (a sample for the non-preferred mode after
-        // warmup) either dethrones the winner or counts toward freezing.
-        // Warmup samples never confirm: freezing is reserved for the
-        // deliberate probe schedule, so a cold start can't end exploration.
-        if self.frozen.is_none() && warmed_up {
-            let winner = self.preferred();
-            if mode != winner {
-                match self.probed_winner {
-                    Some(w) if w == winner => {
-                        self.confirmations += 1;
-                        if self.confirmations >= Self::FREEZE_AFTER {
-                            self.frozen = Some(winner);
-                        }
-                    }
-                    _ => {
-                        self.probed_winner = Some(winner);
-                        self.confirmations = 1;
-                        if self.confirmations >= Self::FREEZE_AFTER {
-                            self.frozen = Some(winner);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The mode currently believed faster. Batched must lead by
-    /// [`BatchProfile::MARGIN`] to win; anything closer — including the
-    /// no-evidence state — is per-event, the mode whose dispatch order the
-    /// reference oracle uses.
-    pub fn preferred(&self) -> FeedMode {
-        let per = self.rate[Self::slot(FeedMode::PerEvent)];
-        let bat = self.rate[Self::slot(FeedMode::Batched)];
-        if bat > per * (1.0 + Self::MARGIN) {
-            FeedMode::Batched
-        } else {
-            FeedMode::PerEvent
-        }
-    }
-
-    /// Whether exploration has ended.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
-    fn other(mode: FeedMode) -> FeedMode {
-        match mode {
-            FeedMode::PerEvent => FeedMode::Batched,
-            FeedMode::Batched => FeedMode::PerEvent,
-        }
-    }
-}
-
 /// One prepared input event.
 #[derive(Debug, Clone)]
 pub struct InputEvent {
@@ -391,119 +162,6 @@ mod tests {
     use rumor_core::LogicalPlan;
     use rumor_expr::Predicate;
     use rumor_types::Schema;
-
-    /// Feeds `profile` one chunk: asks for a mode, then records a sample
-    /// at `rate_of(mode)` events/sec. Returns the chosen mode.
-    fn step(profile: &mut BatchProfile, mut rate_of: impl FnMut(FeedMode) -> f64) -> FeedMode {
-        let (mode, _) = profile.choose();
-        // 1024-event chunk at the given rate.
-        let nanos = (1024.0 * 1e9 / rate_of(mode)) as u64;
-        profile.record(mode, 1024, nanos);
-        mode
-    }
-
-    #[test]
-    fn gate_warms_up_alternating_both_modes() {
-        let mut p = BatchProfile::default();
-        let seen: Vec<FeedMode> = (0..4).map(|_| step(&mut p, |_| 1e6)).collect();
-        assert_eq!(
-            seen,
-            vec![
-                FeedMode::Batched,
-                FeedMode::PerEvent,
-                FeedMode::Batched,
-                FeedMode::PerEvent,
-            ]
-        );
-    }
-
-    #[test]
-    fn gate_prefers_per_event_inside_the_hysteresis_margin() {
-        let mut p = BatchProfile::default();
-        // Batched slightly faster, but within the margin: not enough.
-        for _ in 0..8 {
-            step(&mut p, |m| match m {
-                FeedMode::PerEvent => 1.00e6,
-                FeedMode::Batched => 1.03e6,
-            });
-        }
-        assert_eq!(p.preferred(), FeedMode::PerEvent);
-    }
-
-    #[test]
-    fn gate_locks_onto_clearly_profitable_batching() {
-        let mut p = BatchProfile::default();
-        for _ in 0..64 {
-            step(&mut p, |m| match m {
-                FeedMode::PerEvent => 1.0e6,
-                FeedMode::Batched => 1.4e6,
-            });
-        }
-        assert_eq!(p.preferred(), FeedMode::Batched);
-        assert!(p.is_frozen(), "steady evidence should end exploration");
-    }
-
-    #[test]
-    fn gate_shrugs_off_one_lucky_batched_spike() {
-        let mut p = BatchProfile::default();
-        let mut spiked = false;
-        for _ in 0..64 {
-            step(&mut p, |m| match m {
-                FeedMode::PerEvent => 1.0e6,
-                // First batched sample after warmup reads 2x (a scheduler
-                // hiccup timed the chunk wrong); its true rate is 0.9x.
-                FeedMode::Batched if !spiked => {
-                    spiked = true;
-                    2.0e6
-                }
-                FeedMode::Batched => 0.9e6,
-            });
-        }
-        assert_eq!(
-            p.preferred(),
-            FeedMode::PerEvent,
-            "EWMA + margin must recover from a single wild sample"
-        );
-    }
-
-    #[test]
-    fn force_env_vars_map_to_modes_with_per_event_precedence() {
-        // The OnceLock in `forced_mode` reads the environment once per
-        // process, so the mapping itself is pinned through the pure seam.
-        assert_eq!(BatchProfile::forced_from(false, false), None);
-        assert_eq!(
-            BatchProfile::forced_from(true, false),
-            Some(FeedMode::PerEvent)
-        );
-        assert_eq!(
-            BatchProfile::forced_from(false, true),
-            Some(FeedMode::Batched)
-        );
-        assert_eq!(
-            BatchProfile::forced_from(true, true),
-            Some(FeedMode::PerEvent),
-            "per-event (the oracle's order) wins when both are set"
-        );
-    }
-
-    #[test]
-    fn forced_and_frozen_state_are_publicly_visible() {
-        // The test harness sets neither env var, so the process-wide
-        // pinned mode must be absent — and a frozen gate reports both its
-        // freeze and its choice through the public accessors the stats
-        // layer snapshots.
-        assert_eq!(BatchProfile::forced(), None);
-        let mut p = BatchProfile::default();
-        assert!(!p.is_frozen());
-        for _ in 0..64 {
-            step(&mut p, |m| match m {
-                FeedMode::PerEvent => 1.0e6,
-                FeedMode::Batched => 1.4e6,
-            });
-        }
-        assert!(p.is_frozen());
-        assert_eq!(p.preferred(), FeedMode::Batched);
-    }
 
     #[test]
     fn measure_reports_rates_and_counts() {

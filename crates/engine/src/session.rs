@@ -35,8 +35,8 @@ use rumor_types::{Membership, QueryId, Result, RumorError, SourceId, Tuple};
 use crate::exec::{CollectingSink, ExecutablePlan, QuerySink};
 use crate::shard::{ShardedRuntime, StreamingConfig, StreamingShardedRuntime};
 use crate::stats::{
-    mode_str, sharing_attribution, trace_json_lines, ExecStatsReport, Histogram, IdBuild, LatAcc,
-    QueryStats, RuntimeStats, StatsSnapshot, TraceEvent, TraceRing, TIME_SAMPLE_EVERY,
+    sharing_attribution, trace_json_lines, ExecStatsReport, Histogram, IdBuild, LatAcc, QueryStats,
+    RuntimeStats, StatsSnapshot, TraceEvent, TraceRing, TIME_SAMPLE_EVERY,
 };
 
 /// The one execution lifecycle every RUMOR engine speaks.
@@ -230,26 +230,21 @@ pub struct SessionConfig {
 /// on consistent keys for key-partitionable ones, worker 0 for pinned
 /// stateful subgraphs); results are identical across all engines.
 ///
-/// **Batched input is self-tuning.** Every engine compiles its plan with
-/// a per-component *adaptive dispatch gate* ([`crate::BatchProfile`]):
-/// components whose operators opt into batch dispatch start on the
-/// batched path, and the gate keeps a decaying per-event-cost estimate
-/// for both dispatch styles, probing the road not taken on a sparse
-/// schedule — and only ever on a capped sub-chunk, so trying the losing
-/// style costs a bounded slice of one chunk — until the choice freezes.
-/// Feeding input through
-/// [`EventRuntime::push_batch`] (or `push_batch_shared`) therefore never
-/// commits a workload to a dispatch style that measures slower than
-/// per-event on this host — the gate converges to whichever is cheaper,
-/// per component, with zero effect on results. Keyed and pinned schemes
+/// **Batched input follows one static rule.** On a fully stateless plan
+/// [`EventRuntime::push_batch`] (and `push_batch_shared`) runs the
+/// channel-run-batched drain; on a plan with any stateful m-op every
+/// event takes the per-event path, in global timestamp order — the
+/// dispatch the conformance oracle uses (see
+/// [`ExecutablePlan::push_batch`]). How input is batched never changes
+/// results. Keyed and pinned schemes
 /// additionally ship batches to workers as index lists into one shared
 /// allocation instead of per-worker tuple copies, so the parallel
 /// engines' routing cost no longer scales with tuple width.
 ///
 /// **Observability.** Every session keeps always-on runtime counters:
 /// [`Session::stats`] returns a [`StatsSnapshot`] (per-m-op dispatch
-/// counters and state sizes, adaptive-gate state, queue pressure,
-/// per-query delivery counts, sharing attribution) and
+/// counters and state sizes, queue pressure, per-query delivery counts,
+/// sharing attribution) and
 /// [`Session::explain`] renders the live plan annotated with them.
 /// Snapshot semantics follow the delivery barriers: on the
 /// single-threaded session counters are exact after every push; on the
@@ -633,8 +628,8 @@ pub struct Session {
     /// resume), one sample per successful epoch.
     update_hist: Histogram,
     /// Session-level flight recorder: plan-swap phases and caller notes
-    /// ([`Session::trace_event`]). Merged with the executor- and
-    /// runtime-level recorders by [`Session::trace`].
+    /// ([`Session::trace_event`]). Merged with the streaming pool's
+    /// recorder by [`Session::trace`].
     flight: TraceRing,
 }
 
@@ -823,9 +818,9 @@ impl Session {
     }
 
     /// A consistent snapshot of every runtime counter the session keeps:
-    /// per-m-op dispatch counters and state sizes, adaptive-gate state,
-    /// queue pressure and barrier latencies, per-query delivery counts,
-    /// and per-query sharing attribution against the current plan.
+    /// per-m-op dispatch counters and state sizes, queue pressure and
+    /// barrier latencies, per-query delivery counts, and per-query
+    /// sharing attribution against the current plan.
     ///
     /// On a live parallel session this is itself a barrier-consistent
     /// read: staged deliveries are dispatched and each worker reports in
@@ -880,7 +875,6 @@ impl Session {
             workers: self.workers(),
             events_in: self.events_in(),
             ops: report.ops,
-            gates: report.gates,
             runtime,
             queries,
             sharing,
@@ -888,8 +882,8 @@ impl Session {
     }
 
     /// Renders the optimized plan annotated with live runtime counters,
-    /// followed by gate state, runtime pressure counters, and per-query
-    /// sharing attribution — the paper's benefit metric (events a shared
+    /// followed by runtime pressure counters and per-query sharing
+    /// attribution — the paper's benefit metric (events a shared
     /// m-op absorbs once instead of once per subscribed query).
     ///
     /// # Examples
@@ -955,23 +949,6 @@ impl Session {
             snap.engine, snap.workers, snap.events_in
         );
         out.push_str(&listing);
-        if !snap.gates.is_empty() {
-            let _ = writeln!(out, "== dispatch gates ==");
-            for g in &snap.gates {
-                let forced = match g.forced {
-                    Some(m) => format!(" forced={}", mode_str(m)),
-                    None => String::new(),
-                };
-                let _ = writeln!(
-                    out,
-                    "component {}: mode={} frozen={}{}",
-                    g.component,
-                    mode_str(g.mode),
-                    g.frozen,
-                    forced
-                );
-            }
-        }
         let _ = writeln!(out, "== runtime ==");
         let _ = writeln!(
             out,
@@ -1064,10 +1041,9 @@ impl Session {
 
     /// Dumps the merged flight-recorder timeline as JSON lines (one
     /// object per line, sorted by timestamp): session-level events
-    /// (plan-swap phases, [`Session::trace_event`] notes), executor-level
-    /// events (adaptive-gate flips and freezes, from every worker), and
-    /// runtime-level events (backpressure stalls on the streaming pool).
-    /// All recorders share one process-wide clock
+    /// (plan-swap phases, [`Session::trace_event`] notes) and
+    /// runtime-level events (plan-swap phases and backpressure stalls on
+    /// the streaming pool). All recorders share one process-wide clock
     /// ([`crate::stats::trace_clock_nanos`]), so cross-thread ordering is
     /// coherent. Bounded: each recorder keeps its most recent events
     /// (oldest evicted), so the dump is a flight recorder, not a full
@@ -1077,13 +1053,8 @@ impl Session {
     /// empty but the call works.
     pub fn trace(&mut self) -> Result<String> {
         let mut events: Vec<TraceEvent> = self.flight.events().cloned().collect();
-        match &mut self.backend {
-            Backend::Local(rt) => events.extend(rt.exec.stats_report().trace),
-            Backend::OneShot(rt) => events.extend(rt.exec_stats().trace),
-            Backend::Streaming(rt) => {
-                events.extend(rt.exec_stats()?.trace);
-                events.extend(rt.trace_events());
-            }
+        if let Backend::Streaming(rt) = &self.backend {
+            events.extend(rt.trace_events());
         }
         events.sort_by_key(|e| e.at_nanos);
         Ok(trace_json_lines(&events))

@@ -73,9 +73,9 @@ impl MergeSink for CollectingSink {
     }
 
     fn finalize(&mut self) {
-        // A single worker's results arrive in engine order (the hybrid
-        // drain interleaves batched and strict phases), not in the merged
-        // contract order.
+        // A single worker's results arrive in engine order (the batched
+        // drain of a stateless plan delivers level by level, run by run),
+        // not in the merged contract order.
         self.results.sort_by_key(|(q, t)| (t.ts, *q));
     }
 }
@@ -394,7 +394,7 @@ impl<S: MergeSink> ShardedRuntime<S> {
     }
 
     /// Per-m-op execution counters folded across all workers (counters and
-    /// state gauges sum; gate state is worker 0's view). Usable at any
+    /// state gauges sum). Usable at any
     /// point in the lifecycle — the workers are retained after `finish`.
     pub fn exec_stats(&self) -> ExecStatsReport {
         let mut acc = ExecStatsReport::default();
@@ -764,7 +764,7 @@ enum WorkerMsg<S> {
     /// every previously sent delivery is reflected in the shipped sink.
     Drain(Sender<S>),
     /// Mid-stream stats handoff: the worker ships a snapshot of its
-    /// executor's per-op counters and gate state. Like [`WorkerMsg::Drain`],
+    /// executor's per-op counters. Like [`WorkerMsg::Drain`],
     /// queue FIFO makes the reply reflect every previously sent delivery.
     Stats(Sender<ExecStatsReport>),
 }
@@ -1778,8 +1778,8 @@ mod tests {
     #[test]
     fn single_worker_results_obey_merge_order() {
         // With n = 1 no merge runs; finalize must still establish the
-        // (ts, query) contract order, which the hybrid drain's phase split
-        // (batched stateless results first, strict results after) breaks.
+        // (ts, query) contract order rather than rely on the engine's
+        // delivery order.
         let (plan, _) = optimized(&[
             LogicalPlan::source("S").select(Predicate::True),
             LogicalPlan::source("S").followed_by(

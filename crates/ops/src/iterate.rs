@@ -465,84 +465,6 @@ impl MultiOp for SharedIterate {
         }
     }
 
-    fn process_batch_keyed(&mut self, port: PortId, inputs: &[ChannelTuple], out: &mut dyn Emit) {
-        // Per-key sub-batching is sound exactly when per-key behaviour is
-        // self-contained across the run: keyed mode guarantees foreign-key
-        // events never touch a bucket, and a key-preserving rebind map
-        // guarantees no instance migrates buckets mid-run. Expiry is pure
-        // GC (an instance past max_window can emit for no member), so
-        // inter-key reordering cannot change any emission; each emission
-        // carries its event's ts and the engine re-sorts (the
-        // `process_batch_keyed` contract). Everything else — port-0
-        // inserts, scan mode, key-rewriting rebinds — takes the per-tuple
-        // path.
-        if port.index() == 0 || !self.keyed || !self.key_preserved() {
-            for input in inputs {
-                self.process(port, input, out);
-            }
-            return;
-        }
-        let events: Vec<&Tuple> = inputs
-            .iter()
-            .filter(|ct| ct.belongs_to(self.right_position))
-            .map(|ct| &ct.tuple)
-            .collect();
-        if events.is_empty() {
-            return;
-        }
-        let mut order: Vec<Vec<ValueKey>> = Vec::new();
-        let mut groups: HashMap<Vec<ValueKey>, Vec<u32>> = HashMap::new();
-        for (i, e) in events.iter().enumerate() {
-            let key = self.event_key(e);
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().push(i as u32),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    order.push(v.key().clone());
-                    v.insert(vec![i as u32]);
-                }
-            }
-        }
-        for key in order {
-            let idxs = groups.remove(&key).expect("grouped key listed once");
-            let Some(mut list) = self.buckets.remove(&key) else {
-                continue;
-            };
-            for &i in &idxs {
-                let event = events[i as usize];
-                let horizon = event.ts.saturating_sub(self.max_window);
-                let mut emissions: Vec<(Tuple, Membership, u64)> = Vec::new();
-                let mut emit = |t: &Tuple, m: &Membership, dt: u64| {
-                    emissions.push((t.clone(), m.clone(), dt));
-                };
-                let mut moved: Vec<(Vec<ValueKey>, Instance)> = Vec::new();
-                // The key-preservation proof makes migration impossible, so
-                // run_edges may skip the rebucketing check (keyed = false):
-                // every survivor stays in the held-out bucket.
-                Self::run_edges(
-                    &self.spec,
-                    &mut list,
-                    event,
-                    horizon,
-                    &mut emit,
-                    false,
-                    &self.keys,
-                    &mut moved,
-                    &mut self.live,
-                );
-                debug_assert!(moved.is_empty());
-                for (tuple, membership, dt) in emissions {
-                    self.emit_rebound(out, &tuple, &membership, dt);
-                }
-                if list.is_empty() {
-                    break;
-                }
-            }
-            if !list.is_empty() {
-                self.buckets.insert(key, list);
-            }
-        }
-    }
-
     fn partition_keys(&self) -> rumor_core::PartitionKeys {
         // Keyed mode already proves that events of a foreign key leave an
         // instance untouched (the filter passes them, the rebind's equi
@@ -560,13 +482,6 @@ impl MultiOp for SharedIterate {
         } else {
             rumor_core::PartitionKeys::Opaque
         }
-    }
-
-    fn port_batch_safe(&self) -> bool {
-        // Port 0 only appends instances; `run_edges` skips any instance
-        // with `start_ts >= event.ts` and expiry is a pure GC horizon, so
-        // early insertion of same-batch future instances is unobservable.
-        true
     }
 
     fn state_size(&self) -> usize {

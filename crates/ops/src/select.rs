@@ -199,12 +199,6 @@ impl MultiOp for IndexedSelect {
         true
     }
 
-    fn grouped_emission(&self) -> bool {
-        // `emit_members` groups satisfied members by output channel: one
-        // channel tuple (union membership) per channel per input tuple.
-        true
-    }
-
     fn name(&self) -> &'static str {
         "indexed-select"
     }

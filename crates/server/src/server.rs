@@ -16,6 +16,7 @@
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -155,6 +156,7 @@ impl Server {
             h.join()
                 .map_err(|_| RumorError::io("accept thread panicked"))?;
         }
+        self.lifecycle.close_readers();
         let _ = self.cmd_tx.send(Command::Shutdown);
         if let Some(h) = self.ingest.take() {
             h.join()
@@ -217,20 +219,23 @@ fn accept_loop(
         {
             lifecycle.adopt(h);
         }
+        let stream = Arc::new(stream);
+        let watch = Arc::downgrade(&stream);
         let reader_tx = tx.clone();
+        let reader_lc = lifecycle.clone();
         if let Ok(h) = thread::Builder::new()
             .name(format!("rumor-reader-{client}"))
-            .spawn(move || reader_loop(client, stream, reader_tx))
+            .spawn(move || reader_loop(client, stream, reader_tx, reader_lc))
         {
-            lifecycle.adopt(h);
+            lifecycle.adopt_reader(watch, h);
         }
     }
 }
 
 /// Decodes frames into commands. The blocking `send` on the bounded
 /// command queue is where a too-fast client stalls (admission control).
-fn reader_loop(client: u64, stream: TcpStream, tx: Sender<Command>) {
-    let mut reader = BufReader::new(stream);
+fn reader_loop(client: u64, stream: Arc<TcpStream>, tx: Sender<Command>, lifecycle: Lifecycle) {
+    let mut reader = BufReader::new(&*stream);
     loop {
         match frame::read_frame(&mut reader) {
             Ok(Some(payload)) => match Request::decode(&payload) {
@@ -254,7 +259,11 @@ fn reader_loop(client: u64, stream: TcpStream, tx: Sender<Command>) {
                 }
             },
             Ok(None) => {
-                let _ = tx.send(Command::Disconnect { client });
+                // During a drain the end-of-stream is the server's own
+                // read shutdown: the client is still owed its results.
+                if !lifecycle.stopping() {
+                    let _ = tx.send(Command::Disconnect { client });
+                }
                 return;
             }
             Err(e) => {

@@ -73,9 +73,8 @@
 //!
 //! * `session().build()?` — the single-threaded push engine. Fully
 //!   stateless plans batch at channel-run granularity under
-//!   [`EventRuntime::push_batch`]; stateful plans run *hybrid* (stateless
-//!   prefix batched, timestamp-ordered per-event delivery from the first
-//!   stateful m-op; strict fallback where exactness cannot be proven).
+//!   [`EventRuntime::push_batch`]; a plan with any stateful m-op feeds
+//!   every event through timestamp-ordered per-event delivery.
 //! * `session().workers(n).build()?` — the persistent streaming shard
 //!   pool ([`StreamingShardedRuntime`] underneath): the shared plan is
 //!   cloned across `n` long-lived workers behind bounded queues with
@@ -99,8 +98,7 @@
 //! Every session keeps always-on runtime counters (compile them out with
 //! the engine crate's `stats-off` feature). [`Session::stats`] returns a
 //! [`StatsSnapshot`] — per-m-op events in/out and selectivity, dispatch
-//! style (batched vs per-event calls) and adaptive-gate state, operator
-//! state sizes, queue pressure and barrier latencies on the parallel
+//! style (batched vs per-event calls), operator state sizes, queue pressure and barrier latencies on the parallel
 //! engines, per-query delivery counts, and per-query *sharing
 //! attribution*: which m-ops each query shares, their fan-in, and the
 //! events saved versus running every query on a private plan — the
@@ -177,11 +175,10 @@
 //! session.finish().unwrap();
 //! ```
 //!
-//! When something *changed* — a gate froze, a swap stalled, backpressure
+//! When something *changed* — a plan swap ran or stalled, backpressure
 //! engaged — [`Session::trace`] dumps the bounded flight recorder as JSON
-//! lines: timestamped runtime transitions journaled across the session,
-//! every executor clone, and the streaming pool, merged on one
-//! process-wide clock:
+//! lines: timestamped runtime transitions journaled by the session and
+//! the streaming pool, merged on one process-wide clock:
 //!
 //! ```
 //! use rumor::{EventRuntime, OptimizerConfig, Rumor, Tuple};
@@ -287,11 +284,11 @@ pub use rumor_core::{
 pub use rumor_engine::{
     measure, measure_batched, trace_clock_nanos, trace_json_lines, CollectingMeterSink,
     CollectingSink, ConeScope, CountingSink, DiscardSink, EventRuntime, ExecStatsReport,
-    ExecutablePlan, FeedMode, FileMeterSink, GateStats, Histogram, InputEvent, LocalRuntime,
-    Measurement, MergeSink, Meter, MeterSink, OpStats, Protocol, QuerySharing, QuerySink,
-    QueryStats, Rumor, RuntimeStats, Session, SessionBuilder, SessionConfig, ShardedRuntime,
-    SharedOpRef, StatsSnapshot, StderrMeterSink, StreamingConfig, StreamingShardedRuntime,
-    Subscription, TraceEvent, TraceRing, STATS_COMPILED, TIME_SAMPLE_EVERY,
+    ExecutablePlan, FeedMode, FileMeterSink, Histogram, InputEvent, LocalRuntime, Measurement,
+    MergeSink, Meter, MeterSink, OpStats, Protocol, QuerySharing, QuerySink, QueryStats, Rumor,
+    RuntimeStats, Session, SessionBuilder, SessionConfig, ShardedRuntime, SharedOpRef,
+    StatsSnapshot, StderrMeterSink, StreamingConfig, StreamingShardedRuntime, Subscription,
+    TraceEvent, TraceRing, STATS_COMPILED, TIME_SAMPLE_EVERY,
 };
 pub use rumor_expr::{CmpOp, EvalCtx, Expr, NamedExpr, Predicate, SchemaMap};
 pub use rumor_types::{

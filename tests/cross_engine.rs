@@ -144,5 +144,5 @@ proptest! {
 // The former batched-execution and pipelined-runner equivalence proptests
 // that lived here were superseded by the table-driven differential
 // conformance harness in `tests/conformance.rs`, which runs every engine
-// mode (per-event, hybrid batch, pipelined, sharded, streaming sharded)
+// mode (per-event, batch, pipelined, sharded, streaming sharded)
 // over one shared workload matrix.

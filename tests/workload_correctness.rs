@@ -12,7 +12,7 @@ use rumor::workloads::synth::{
 use rumor::workloads::{hybrid, perfmon, workload1, workload2, workload3, Params};
 use rumor::{
     CayugaEngine, CollectingSink, Membership, Optimizer, OptimizerConfig, PlanGraph, QueryId,
-    Schema,
+    Schema, SourceId, Tuple,
 };
 use rumor_engine::ExecutablePlan;
 
@@ -24,7 +24,25 @@ fn small_params() -> Params {
         .with_tuples(600)
 }
 
-fn run_rumor_st(queries: &[rumor::LogicalPlan], params: &Params) -> HashMap<QueryId, Vec<String>> {
+/// How [`run_rumor_st`] feeds the event stream into the compiled plan.
+#[derive(Debug, Clone, Copy)]
+enum Feed {
+    /// One `ExecutablePlan::push` per event.
+    PerEvent,
+    /// `ExecutablePlan::push_batch` over chunks of this many events, so
+    /// operator state (sequence instances, iteration instances) must carry
+    /// across calls.
+    Chunks(usize),
+}
+
+/// The feeds every Cayuga-agreement test runs under.
+const FEEDS: [Feed; 2] = [Feed::PerEvent, Feed::Chunks(256)];
+
+fn run_rumor_st(
+    queries: &[rumor::LogicalPlan],
+    params: &Params,
+    feed: Feed,
+) -> HashMap<QueryId, Vec<String>> {
     let mut plan = PlanGraph::new();
     let s = plan
         .add_source("S", Schema::ints(params.num_attrs), None)
@@ -39,12 +57,27 @@ fn run_rumor_st(queries: &[rumor::LogicalPlan], params: &Params) -> HashMap<Quer
     plan.validate().unwrap();
     let mut exec = ExecutablePlan::new(&plan).unwrap();
     let mut sink = CollectingSink::default();
-    for ev in st_events(params) {
-        let src = match ev.tag {
-            StTag::S => s,
-            StTag::T => t,
-        };
-        exec.push(src, ev.tuple.clone(), &mut sink).unwrap();
+    let events: Vec<(SourceId, Tuple)> = st_events(params)
+        .into_iter()
+        .map(|ev| {
+            let src = match ev.tag {
+                StTag::S => s,
+                StTag::T => t,
+            };
+            (src, ev.tuple)
+        })
+        .collect();
+    match feed {
+        Feed::PerEvent => {
+            for (src, tuple) in &events {
+                exec.push(*src, tuple.clone(), &mut sink).unwrap();
+            }
+        }
+        Feed::Chunks(n) => {
+            for chunk in events.chunks(n) {
+                exec.push_batch(chunk, &mut sink).unwrap();
+            }
+        }
     }
     qids.iter()
         .enumerate()
@@ -81,10 +114,7 @@ fn run_cayuga_st(automata: &[rumor::Automaton], params: &Params) -> HashMap<Quer
 fn workload1_engines_agree() {
     let params = small_params();
     let queries = workload1::generate(&params);
-    let rumor = run_rumor_st(
-        &queries.iter().map(|q| q.plan.clone()).collect::<Vec<_>>(),
-        &params,
-    );
+    let plans: Vec<_> = queries.iter().map(|q| q.plan.clone()).collect();
     let cayuga = run_cayuga_st(
         &queries
             .iter()
@@ -92,25 +122,25 @@ fn workload1_engines_agree() {
             .collect::<Vec<_>>(),
         &params,
     );
-    let mut total = 0;
-    for i in 0..queries.len() {
-        let q = QueryId(i as u32);
-        let want = cayuga.get(&q).cloned().unwrap_or_default();
-        let got = rumor.get(&q).cloned().unwrap_or_default();
-        assert_eq!(got, want, "workload1 query {i} diverged");
-        total += got.len();
+    for feed in FEEDS {
+        let rumor = run_rumor_st(&plans, &params, feed);
+        let mut total = 0;
+        for i in 0..queries.len() {
+            let q = QueryId(i as u32);
+            let want = cayuga.get(&q).cloned().unwrap_or_default();
+            let got = rumor.get(&q).cloned().unwrap_or_default();
+            assert_eq!(got, want, "workload1 query {i} diverged ({feed:?})");
+            total += got.len();
+        }
+        assert!(total > 0, "workload must produce matches at this scale");
     }
-    assert!(total > 0, "workload must produce matches at this scale");
 }
 
 #[test]
 fn workload2_seq_engines_agree() {
     let params = small_params();
     let queries = workload2::generate_seq(&params);
-    let rumor = run_rumor_st(
-        &queries.iter().map(|q| q.plan.clone()).collect::<Vec<_>>(),
-        &params,
-    );
+    let plans: Vec<_> = queries.iter().map(|q| q.plan.clone()).collect();
     let cayuga = run_cayuga_st(
         &queries
             .iter()
@@ -118,13 +148,16 @@ fn workload2_seq_engines_agree() {
             .collect::<Vec<_>>(),
         &params,
     );
-    for i in 0..queries.len() {
-        let q = QueryId(i as u32);
-        assert_eq!(
-            rumor.get(&q).cloned().unwrap_or_default(),
-            cayuga.get(&q).cloned().unwrap_or_default(),
-            "workload2(;) query {i} diverged"
-        );
+    for feed in FEEDS {
+        let rumor = run_rumor_st(&plans, &params, feed);
+        for i in 0..queries.len() {
+            let q = QueryId(i as u32);
+            assert_eq!(
+                rumor.get(&q).cloned().unwrap_or_default(),
+                cayuga.get(&q).cloned().unwrap_or_default(),
+                "workload2(;) query {i} diverged ({feed:?})"
+            );
+        }
     }
 }
 
@@ -132,10 +165,7 @@ fn workload2_seq_engines_agree() {
 fn workload2_mu_engines_agree() {
     let params = small_params().with_queries(12).with_tuples(400);
     let queries = workload2::generate_mu(&params);
-    let rumor = run_rumor_st(
-        &queries.iter().map(|q| q.plan.clone()).collect::<Vec<_>>(),
-        &params,
-    );
+    let plans: Vec<_> = queries.iter().map(|q| q.plan.clone()).collect();
     let cayuga = run_cayuga_st(
         &queries
             .iter()
@@ -143,13 +173,16 @@ fn workload2_mu_engines_agree() {
             .collect::<Vec<_>>(),
         &params,
     );
-    for i in 0..queries.len() {
-        let q = QueryId(i as u32);
-        assert_eq!(
-            rumor.get(&q).cloned().unwrap_or_default(),
-            cayuga.get(&q).cloned().unwrap_or_default(),
-            "workload2(µ) query {i} diverged"
-        );
+    for feed in FEEDS {
+        let rumor = run_rumor_st(&plans, &params, feed);
+        for i in 0..queries.len() {
+            let q = QueryId(i as u32);
+            assert_eq!(
+                rumor.get(&q).cloned().unwrap_or_default(),
+                cayuga.get(&q).cloned().unwrap_or_default(),
+                "workload2(µ) query {i} diverged ({feed:?})"
+            );
+        }
     }
 }
 
